@@ -27,7 +27,10 @@ import (
 //     — so log order and epoch order are the same order;
 //   - GET /v1/replicate?from=E streams committed records with epoch > E
 //     as NDJSON and then long-polls for more, so a caught-up replica
-//     costs one idle connection, not a poll loop;
+//     costs one idle connection, not a poll loop. The connection holds
+//     one WAL cursor (wal.Tail), so each commit costs the feed only the
+//     new records, not a rescan of the segment, and a caught-up
+//     replica reconnecting after a window reads no file at all;
 //   - replicas tail that feed and ApplyAt each record: compiled plans
 //     survive the churn (fact-epoch movement refreshes relation
 //     pointers, it never recompiles), duplicate delivery is a no-op,
@@ -205,12 +208,16 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	window := time.NewTimer(s.cfg.ReplicateWindow)
 	defer window.Stop()
+	// One cursor for the whole connection: each wake decodes only the
+	// records appended since the last one.
+	tail := s.wal.Tail(from)
+	defer tail.Close()
 	for {
 		// Grab the update channel before reading: a record that lands
 		// between the drain and the wait closes this channel, so it is
 		// seen on the next loop instead of missed.
 		ch := s.wal.Updates()
-		err := s.wal.ReadFrom(from, func(rec wal.Record) error {
+		err := tail.Next(func(rec wal.Record) error {
 			begin()
 			from = rec.Epoch
 			return enc.Encode(ReplicateLine{Epoch: rec.Epoch, Ops: rec.Ops})

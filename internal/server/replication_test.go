@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +281,91 @@ func TestReplicaBootstrapsPastTruncatedLog(t *testing.T) {
 	assertFact(t, primary.URL, "parent", "late", "bart")
 	waitFor(t, "post-bootstrap tail", func() bool { return rdb.FactEpoch() == pdb.FactEpoch() })
 	_ = ps
+}
+
+func TestReplicaTailsOneWindowAcrossRotationsAndSnapshot(t *testing.T) {
+	// A tiny segment size and snapshot threshold make the primary rotate
+	// and auto-snapshot several times while one replica stays on a
+	// single long-poll connection: its cursor must cross every rotation
+	// and truncation and deliver each epoch once, in order.
+	pl, err := wal.Open(wal.Options{Dir: t.TempDir(), SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pl.Close() })
+	pdb := chainlog.NewDB()
+	if err := pdb.LoadProgram(familyProgram); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := New(Config{DB: pdb, WAL: pl, Logf: t.Logf, ReplicateWindow: time.Minute, SnapshotBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feeds atomic.Int32
+	h := ps.Handler()
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replicate" {
+			feeds.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(primary.Close)
+
+	rl, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rl.Close() })
+	rs, _, rdb := newReplica(t, primary.URL, Config{WAL: rl, SnapshotBytes: -1})
+	waitFor(t, "replica feed connected", func() bool { return rs.replConnected.Value() == 1 })
+
+	base := pdb.FactEpoch()
+	const writes = 80
+	for i := 0; i < writes; i++ {
+		if status, _, _ := assertFact(t, primary.URL, "parent", fmt.Sprintf("kid%d", i), "bart"); status != http.StatusOK {
+			t.Fatalf("primary assert %d: status %d", i, status)
+		}
+		want := pdb.FactEpoch()
+		waitFor(t, "replica catch-up", func() bool { return rdb.FactEpoch() == want })
+	}
+	waitFor(t, "primary auto-snapshot", func() bool { return ps.snapshots.Value() > 0 })
+	if oldest := pl.OldestEpoch(); oldest <= base+1 {
+		t.Fatalf("primary log still holds epoch %d (oldest %d); the test needs truncation", base+1, oldest)
+	}
+
+	if n := feeds.Load(); n != 1 {
+		t.Fatalf("replica opened %d feed connections, want 1", n)
+	}
+	// The applied counter moves just after the epoch does.
+	waitFor(t, "applied counter", func() bool { return rs.replApplied.Value() >= writes })
+	if n := rs.replApplied.Value(); n != writes {
+		t.Fatalf("replica applied %d records, want %d", n, writes)
+	}
+	var got []uint64
+	if err := rl.ReadFrom(base, func(r wal.Record) error {
+		got = append(got, r.Epoch)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got {
+		if e != base+1+uint64(i) {
+			t.Fatalf("replica journaled epochs %v, want %d..%d in order", got, base+1, base+writes)
+		}
+	}
+	if len(got) != writes {
+		t.Fatalf("replica journaled %d records, want %d", len(got), writes)
+	}
+	var pdump, rdump bytes.Buffer
+	if err := pdb.DumpFacts(&pdump); err != nil {
+		t.Fatal(err)
+	}
+	if err := rdb.DumpFacts(&rdump); err != nil {
+		t.Fatal(err)
+	}
+	if pdump.String() != rdump.String() {
+		t.Fatalf("replica facts differ from the primary's:\n%s\nvs\n%s", rdump.String(), pdump.String())
+	}
 }
 
 func TestPromoteOpensWrites(t *testing.T) {

@@ -22,13 +22,16 @@
 //     frames anywhere but the final segment's tail are real corruption
 //     and refuse to open.
 //
-// Readers (crash recovery, the /v1/replicate feed) replay records with
-// ReadFrom, which serves only committed bytes, so tailing a live log
-// never observes a half-written frame. Updates returns a broadcast
-// channel closed on every append, for long-poll feeds.
+// Readers (crash recovery, the /v1/replicate feed) replay records
+// through a Tail, a resumable cursor that serves only committed bytes,
+// so tailing a live log never observes a half-written frame, and that
+// decodes only the frames appended since its previous read. Updates
+// returns a broadcast channel closed on every append, for long-poll
+// feeds.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -259,24 +262,24 @@ func scanSegment(path string) (end int64, lastEpoch uint64, err error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	r := &frameReader{r: f}
+	fr := &frameReader{r: bufio.NewReaderSize(f, 64<<10)}
 	for {
-		rec, ok, err := r.next()
+		rec, ok, err := fr.next()
 		if err != nil {
 			return end, lastEpoch, err
 		}
 		if !ok {
 			return end, lastEpoch, nil
 		}
-		end = r.off
+		end = fr.off
 		lastEpoch = rec.Epoch
 	}
 }
 
-// frameReader decodes frames sequentially, tracking the offset past the
-// last fully decoded frame.
+// frameReader decodes frames sequentially through a buffer, tracking
+// the offset past the last fully decoded frame.
 type frameReader struct {
-	r   io.Reader
+	r   *bufio.Reader
 	off int64
 	buf []byte
 }
@@ -314,10 +317,11 @@ func (fr *frameReader) next() (Record, bool, error) {
 	return rec, true, nil
 }
 
-// encodeRecord renders the binary payload: uvarint epoch, uvarint op
-// count, then per op a retract flag byte and length-prefixed pred/args.
-func encodeRecord(rec Record) []byte {
-	buf := binary.AppendUvarint(nil, rec.Epoch)
+// appendRecord appends the binary payload to buf: uvarint epoch,
+// uvarint op count, then per op a retract flag byte and length-prefixed
+// pred/args.
+func appendRecord(buf []byte, rec Record) []byte {
+	buf = binary.AppendUvarint(buf, rec.Epoch)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.Ops)))
 	for _, op := range rec.Ops {
 		flag := byte(0)
@@ -402,11 +406,19 @@ func (l *Log) Append(rec Record) error {
 	if rec.Epoch <= l.lastEpoch {
 		return fmt.Errorf("wal: append epoch %d not after last epoch %d", rec.Epoch, l.lastEpoch)
 	}
-	payload := encodeRecord(rec)
-	frame := make([]byte, frameHeader+len(payload))
+	// Size the frame for the worst-case uvarints so the payload encodes
+	// in place after the header without growing.
+	size := frameHeader + 2*binary.MaxVarintLen64
+	for _, op := range rec.Ops {
+		size += 1 + 2*binary.MaxVarintLen64 + len(op.Pred) + len(op.Args)*binary.MaxVarintLen64
+		for _, a := range op.Args {
+			size += len(a)
+		}
+	}
+	frame := appendRecord(make([]byte, frameHeader, size), rec)
+	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
 
 	n := len(l.segs)
 	if l.active == nil || (l.segs[n-1].size > 0 && l.segs[n-1].size+int64(len(frame)) > l.opts.SegmentBytes) {
@@ -529,60 +541,113 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// ReadFrom replays every committed record with epoch > from, in order.
-// It returns ErrGone when records after from have been truncated away
-// by a snapshot (the caller must bootstrap from the snapshot). Reading
-// concurrently with Append is safe: only bytes committed at call time
-// are visited.
+// ReadFrom replays every committed record with epoch > from, in order:
+// a one-shot Tail.
 func (l *Log) ReadFrom(from uint64, fn func(Record) error) error {
+	t := l.Tail(from)
+	defer t.Close()
+	return t.Next(fn)
+}
+
+// Tail is a resumable cursor over the log: each Next delivers the
+// records committed since the previous one, reading only the frames
+// past the cursor's byte offset, across segment rotation. A Tail is
+// used by one goroutine at a time; Close releases its file.
+type Tail struct {
+	l     *Log
+	epoch uint64 // last delivered epoch (or the from it was opened at)
+	seg   uint64 // first epoch of the segment the cursor is in; 0 = none yet
+	f     *os.File
+	fr    frameReader
+	segs  []segment // scratch copy of the log's segment list
+	read  int       // frames decoded, for tests pinning incrementality
+}
+
+// Tail opens a cursor delivering the records with epoch > from. When
+// from is at or past the log's last epoch the cursor starts at the end
+// of the active segment, so opening it reads no file.
+func (l *Log) Tail(from uint64) *Tail {
+	t := &Tail{l: l, epoch: from, fr: frameReader{r: bufio.NewReader(nil)}}
 	l.mu.Lock()
-	if from < l.lastEpoch {
-		// Records in (from, oldest) are not on disk: either a snapshot
+	if n := len(l.segs); n > 0 && from >= l.lastEpoch {
+		t.seg, t.fr.off = l.segs[n-1].first, l.segs[n-1].size
+	}
+	l.mu.Unlock()
+	return t
+}
+
+// Next calls fn, in order, for every record committed past the cursor,
+// advancing the cursor past each record fn accepts. It returns ErrGone
+// when records after the cursor have been truncated away by a snapshot
+// (the caller must bootstrap from the snapshot). Only bytes committed
+// when Next starts are visited, so it is safe concurrently with Append.
+func (t *Tail) Next(fn func(Record) error) error {
+	l := t.l
+	l.mu.Lock()
+	if t.epoch < l.lastEpoch {
+		// Records in (epoch, oldest) are not on disk: either a snapshot
 		// truncated them or they predate this log. Both cases are only
 		// bridgeable by a snapshot bootstrap, so refuse the silent hole.
-		if oldest := l.oldestLocked(); oldest == 0 || from+1 < oldest {
+		if oldest := l.oldestLocked(); oldest == 0 || t.epoch+1 < oldest {
 			l.mu.Unlock()
 			return ErrGone
 		}
 	}
-	segs := make([]segment, len(l.segs))
-	copy(segs, l.segs)
+	t.segs = append(t.segs[:0], l.segs...)
 	l.mu.Unlock()
 
-	for i, seg := range segs {
-		if seg.size == 0 {
+	for i, seg := range t.segs {
+		// Skip segments behind the cursor, and those whose epochs, which
+		// lie in [first, nextFirst), are all already delivered.
+		if seg.first < t.seg || i+1 < len(t.segs) && t.segs[i+1].first <= t.epoch+1 {
 			continue
 		}
-		// A segment's epochs live in [first, nextFirst): skip it when the
-		// whole range is at or below from.
-		if i+1 < len(segs) && segs[i+1].first <= from+1 {
+		if seg.first != t.seg {
+			t.Close()
+			t.seg, t.fr.off = seg.first, 0
+		}
+		if t.fr.off >= seg.size {
 			continue
 		}
-		f, err := os.Open(seg.path)
-		if err != nil {
+		if t.f == nil {
+			f, err := os.Open(seg.path)
 			if os.IsNotExist(err) {
 				return ErrGone // truncated between the metadata copy and here
 			}
-			return err
-		}
-		fr := &frameReader{r: io.LimitReader(f, seg.size)}
-		for fr.off < seg.size {
-			rec, ok, err := fr.next()
-			if err != nil || !ok {
-				f.Close()
-				return fmt.Errorf("wal: segment %s: corrupt committed record at offset %d", seg.path, fr.off)
+			if err != nil {
+				return err
 			}
-			if rec.Epoch <= from {
+			t.f = f
+		}
+		t.fr.r.Reset(io.NewSectionReader(t.f, t.fr.off, seg.size-t.fr.off))
+		for t.fr.off < seg.size {
+			off := t.fr.off
+			rec, ok, err := t.fr.next()
+			t.read++
+			if err != nil || !ok {
+				return fmt.Errorf("wal: segment %s: corrupt committed record at offset %d", seg.path, off)
+			}
+			if rec.Epoch <= t.epoch {
 				continue
 			}
 			if err := fn(rec); err != nil {
-				f.Close()
+				t.fr.off = off // fn did not take it: deliver it again next time
 				return err
 			}
+			t.epoch = rec.Epoch
 		}
-		f.Close()
 	}
 	return nil
+}
+
+// Close releases the cursor's open segment file.
+func (t *Tail) Close() error {
+	if t.f == nil {
+		return nil
+	}
+	err := t.f.Close()
+	t.f = nil
+	return err
 }
 
 // WriteSnapshot atomically persists a snapshot: write calls back with a

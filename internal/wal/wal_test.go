@@ -458,27 +458,30 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
-func TestReadFromConcurrentWithAppend(t *testing.T) {
+func TestTailConcurrentWithAppend(t *testing.T) {
 	l := mustOpen(t, Options{Dir: t.TempDir()})
 	if err := l.Append(rec(1)); err != nil {
 		t.Fatal(err)
 	}
+	const last = 200
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for e := uint64(2); e <= 200; e++ {
+		for e := uint64(2); e <= last; e++ {
 			if err := l.Append(rec(e)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	// Interleave replays with the append storm: every replay must see a
-	// strictly increasing, gap-free prefix starting after `from`.
-	for i := 0; i < 50; i++ {
-		from := uint64(i % 3)
-		prev := from
-		if err := l.ReadFrom(from, func(r Record) error {
+	// One long-lived cursor drives through the append storm: across all
+	// its reads it must see every epoch exactly once, gap-free.
+	tail := l.Tail(0)
+	defer tail.Close()
+	var prev uint64
+	for prev < last {
+		ch := l.Updates()
+		if err := tail.Next(func(r Record) error {
 			if r.Epoch != prev+1 {
 				return fmt.Errorf("epoch %d after %d", r.Epoch, prev)
 			}
@@ -487,6 +490,235 @@ func TestReadFromConcurrentWithAppend(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if prev < last {
+			select {
+			case <-ch:
+			case <-done:
+				if l.LastEpoch() != last {
+					t.Fatalf("appender stopped at epoch %d", l.LastEpoch())
+				}
+			}
+		}
 	}
 	<-done
+}
+
+// appendRange appends rec(from) through rec(to).
+func appendRange(t *testing.T, l *Log, from, to uint64) {
+	t.Helper()
+	for e := from; e <= to; e++ {
+		if err := l.Append(rec(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tailNext runs one Next and returns the epochs it delivered.
+func tailNext(t *testing.T, tail *Tail) []uint64 {
+	t.Helper()
+	var got []uint64
+	if err := tail.Next(func(r Record) error {
+		got = append(got, r.Epoch)
+		return nil
+	}); err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	return got
+}
+
+func span(from, to uint64) []uint64 {
+	var out []uint64
+	for e := from; e <= to; e++ {
+		out = append(out, e)
+	}
+	return out
+}
+
+func TestTailResumesAcrossAppends(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir()})
+	appendRange(t, l, 1, 1000)
+	tail := l.Tail(1)
+	defer tail.Close()
+	if got := tailNext(t, tail); !reflect.DeepEqual(got, span(2, 1000)) {
+		t.Fatalf("first read delivered %d records", len(got))
+	}
+	if got := tailNext(t, tail); len(got) != 0 {
+		t.Fatalf("read with nothing appended = %v", got)
+	}
+	// Each read delivers exactly the new records and, however long the
+	// log, decodes only their frames.
+	next := uint64(1001)
+	for _, k := range []uint64{1, 5, 17} {
+		appendRange(t, l, next, next+k-1)
+		tail.read = 0
+		if got := tailNext(t, tail); !reflect.DeepEqual(got, span(next, next+k-1)) || tail.read != int(k) {
+			t.Fatalf("after %d appends: read %v decoding %d frames", k, got, tail.read)
+		}
+		next += k
+	}
+}
+
+func TestTailCrossesRotation(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 64})
+	tail := l.Tail(0)
+	defer tail.Close()
+	var got []uint64
+	for next := uint64(1); next <= 30; next += 3 {
+		appendRange(t, l, next, next+2)
+		got = append(got, tailNext(t, tail)...)
+	}
+	if l.Segments() < 5 {
+		t.Fatalf("only %d segments with a 64-byte rotation threshold", l.Segments())
+	}
+	if !reflect.DeepEqual(got, span(1, 30)) {
+		t.Fatalf("epochs across rotation = %v", got)
+	}
+}
+
+func TestTailAtLastEpochReadsNothing(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir()})
+	appendRange(t, l, 1, 50)
+	tail := l.Tail(l.LastEpoch())
+	defer tail.Close()
+	if got := tailNext(t, tail); len(got) != 0 || tail.read != 0 || tail.f != nil {
+		t.Fatalf("caught-up cursor delivered %v, decoded %d frames, file open %v", got, tail.read, tail.f != nil)
+	}
+	appendRange(t, l, 51, 51)
+	if got := tailNext(t, tail); !reflect.DeepEqual(got, []uint64{51}) || tail.read != 1 {
+		t.Fatalf("after one append: delivered %v decoding %d frames", got, tail.read)
+	}
+}
+
+func TestTailAcrossSnapshotTruncation(t *testing.T) {
+	// Park a cursor at every position of a multi-segment log, then
+	// snapshot below, at and past it. The cursor must report ErrGone
+	// exactly when a one-shot ReadFrom of its position does — only when
+	// an undelivered epoch is gone — and otherwise deliver the rest.
+	const last = 12
+	stop := errors.New("stop")
+	sawGone := false
+	for pos := uint64(1); pos < last; pos++ {
+		for _, snap := range []uint64{pos - 1, pos, pos + 1, pos + 4} {
+			l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 64})
+			appendRange(t, l, 1, last)
+			tail := l.Tail(0)
+			if err := tail.Next(func(r Record) error {
+				if r.Epoch > pos {
+					return stop
+				}
+				return nil
+			}); !errors.Is(err, stop) {
+				t.Fatalf("parking the cursor at %d: %v", pos, err)
+			}
+			if _, err := l.WriteSnapshot(func(io.Writer) (uint64, error) { return snap, nil }); err != nil {
+				t.Fatal(err)
+			}
+			wantGone := errors.Is(l.ReadFrom(pos, func(Record) error { return nil }), ErrGone)
+			if wantGone && snap <= pos {
+				t.Fatalf("snapshot at %d truncated epochs above %d", snap, pos)
+			}
+			var got []uint64
+			err := tail.Next(func(r Record) error {
+				got = append(got, r.Epoch)
+				return nil
+			})
+			switch {
+			case wantGone:
+				sawGone = true
+				if !errors.Is(err, ErrGone) {
+					t.Fatalf("cursor at %d, snapshot %d: err %v, want ErrGone", pos, snap, err)
+				}
+			case err != nil || !reflect.DeepEqual(got, span(pos+1, last)):
+				t.Fatalf("cursor at %d, snapshot %d: delivered %v, err %v", pos, snap, got, err)
+			}
+			tail.Close()
+			l.Close()
+		}
+	}
+	if !sawGone {
+		t.Fatal("no snapshot truncated an undelivered epoch; the ErrGone path went untested")
+	}
+}
+
+// goldenRecords are the records in testdata/v1, a log an earlier
+// release wrote with SegmentBytes 96.
+func goldenRecords() []Record {
+	return []Record{
+		{Epoch: 3, Ops: []Op{{Pred: "e", Args: []string{"a", "b"}}}},
+		{Epoch: 4, Ops: []Op{{Pred: "e", Args: []string{"b", "c"}}, {Retract: true, Pred: "e", Args: []string{"a", "b"}}}},
+		{Epoch: 5, Ops: []Op{{Pred: "unary", Args: []string{"x"}}}},
+		{Epoch: 6, Ops: []Op{}},
+		{Epoch: 7, Ops: []Op{{Pred: "wide", Args: []string{"ünïcode", "", "a long argument that needs a two-byte uvarint length prefix because it runs past one hundred and twenty-seven bytes of text, which takes a little while to type out"}}}},
+		{Epoch: 300, Ops: []Op{{Retract: true, Pred: "nullary", Args: []string{}}}},
+	}
+}
+
+func TestOnDiskFormatUnchanged(t *testing.T) {
+	golden, err := filepath.Glob(filepath.Join("testdata", "v1", segPrefix+"*"+segSuffix))
+	if err != nil || len(golden) != 3 {
+		t.Fatalf("golden segments: %v, %v", golden, err)
+	}
+	// The golden log opens and replays to the records it holds...
+	old := t.TempDir()
+	for _, g := range golden {
+		data, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(old, filepath.Base(g)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := mustOpen(t, Options{Dir: old, SegmentBytes: 96})
+	want := goldenRecords()
+	if got := readAll(t, l, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("golden replay = %+v", got)
+	}
+	// ...and appending the same records writes byte-identical segments.
+	dir := t.TempDir()
+	nl := mustOpen(t, Options{Dir: dir, SegmentBytes: 96})
+	for _, r := range want {
+		if err := nl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range golden {
+		wantBytes, _ := os.ReadFile(g)
+		gotBytes, err := os.ReadFile(filepath.Join(dir, filepath.Base(g)))
+		if err != nil || !reflect.DeepEqual(gotBytes, wantBytes) {
+			t.Fatalf("segment %s differs from the golden bytes (%v)", filepath.Base(g), err)
+		}
+	}
+}
+
+// BenchmarkTail appends one record and tails it through a long-lived
+// cursor, at several log sizes; ns/record must not grow with the size.
+func BenchmarkTail(b *testing.B) {
+	for _, size := range []int{1_000, 10_000, 100_000} {
+		l, err := Open(Options{Dir: b.TempDir(), Sync: SyncRotate})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for e := 1; e <= size; e++ {
+			if err := l.Append(rec(uint64(e))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("records=%d", size), func(b *testing.B) {
+			tail := l.Tail(l.LastEpoch())
+			defer tail.Close()
+			delivered := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := l.Append(rec(l.LastEpoch() + 1)); err != nil {
+					b.Fatal(err)
+				}
+				if err := tail.Next(func(Record) error { delivered++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/record")
+		})
+		l.Close()
+	}
 }
