@@ -362,8 +362,8 @@ func qsqAlternative(in Input, g graphShape) Alternative {
 	// the net's table bookkeeping (input-table subsumption check, answer
 	// dedup), and outside the direct binary-chain class the subqueries
 	// carry n-ary tuples, so the node term scales the same way the chain
-	// route's does — which keeps the tuple-term chain traversal ahead on
-	// bound Section 4 queries, matching its ~2x measured wall-clock edge.
+	// route's does; on bound Section 4 queries the net then prices
+	// close to the tuple-term traversal, as it measures.
 	nodes, edges := chainTraversal(g)
 	perNode := CostQSQNode
 	detail := "goal-directed QSQ net with memoized subquery tables"

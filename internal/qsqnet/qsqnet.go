@@ -28,12 +28,26 @@
 // combinations where the pinned intensional step ranges over the
 // answers added since the previous round, so quiescent parts of the
 // net cost nothing.
+//
+// No join step hashes a name or allocates. Compile resolves every name
+// evaluation looks up into a slot: each node's input table, each
+// predicate's answer table, each probe mask's index, and each
+// extensional relation, which Eval fetches from the store once per
+// call. Eval's tables are slices over those slots. Table keys are
+// packed tuples: up to two columns key a map[uint64], wider tuples are
+// packed into a reused byte buffer and looked up as m[string(buf)], so
+// only an insert allocates a key. Memoized rows live in append-only
+// arenas, and the frame, head and bound vectors are per-Eval scratch.
 package qsqnet
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"chainlog/internal/ast"
 	"chainlog/internal/bottomup"
@@ -61,19 +75,30 @@ type Stats struct {
 // adornment. It is immutable after Compile and safe for concurrent
 // Eval calls, each of which builds its own tables.
 type Net struct {
-	pred    string
-	adorn   string
-	nodes   []*node
-	byKey   map[string]*node
-	derived map[string]bool
-	arities map[string]int
-	// ansMasks lists, per intensional predicate, the statically known
-	// bound-argument masks with which rule bodies probe its answer
-	// table; Eval registers a hash index per mask.
-	ansMasks map[string][]uint32
+	pred  string
+	adorn string
+	// nodes are the adorned predicates in discovery order, the root
+	// first; a node's position is its input table's slot.
+	nodes []*node
 	// preds is the sorted set of intensional predicates reachable from
-	// the root, the iteration order of the semi-naive rounds.
-	preds []string
+	// the root, the iteration order of the semi-naive rounds; a
+	// predicate's position is its answer table's slot, and arities and
+	// ansMasks are indexed the same way.
+	preds   []string
+	arities []int
+	// ansMasks lists, per answer slot, the non-zero bound-argument masks
+	// with which rule bodies probe that table; Eval keeps one hash index
+	// per mask, and a step's probe field is its mask's position here.
+	ansMasks [][]uint32
+	// edbPreds lists the extensional predicates rule bodies read; a
+	// step's rel field is a position here, which Eval resolves through
+	// the store once per call.
+	edbPreds []string
+	// rootMask marks the root adornment's bound positions.
+	rootMask uint32
+	// maxVars, maxHead and maxBound size Eval's scratch: the widest
+	// frame, head and summed per-step bound vectors of any rule.
+	maxVars, maxHead, maxBound int
 }
 
 // Pred and Adornment identify the net's root goal.
@@ -92,6 +117,10 @@ type node struct {
 	pred  string
 	adorn string
 	rules []*crule
+	// ans is the predicate's answer slot; width is the number of bound
+	// positions, the width of the node's input tuples.
+	ans   int
+	width int
 }
 
 // argRef is a compiled literal argument: a constant, or a variable
@@ -109,17 +138,22 @@ type cstep struct {
 	// variables are bound by the time the order reaches it).
 	builtin bool
 	// intensional marks a step over a derived predicate, answered from
-	// the answer tables; subKey is the adorned input table its
-	// subqueries feed.
+	// answer slot ans through index probe (-1 for mask 0, a row walk);
+	// subKey names the adorned node its subqueries feed, whose input
+	// slot is sub. An extensional step reads relation slot rel.
 	intensional bool
 	subKey      string
-	subAdorn    string
+	sub, ans    int
+	probe       int
+	rel         int
 	// mask has bit i set when argument i is statically bound at this
 	// step (a constant, or a variable bound by the head input or an
 	// earlier step). boundRefs lists the bound arguments in position
-	// order, matching edb.Relation.MatchEach's calling convention.
+	// order, matching edb.Relation.MatchEach's calling convention; they
+	// are evaluated into the rule's bound scratch at offset boff.
 	mask      uint32
 	boundRefs []argRef
+	boff      int
 }
 
 // crule is one rule compiled under a head adornment.
@@ -151,19 +185,12 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 	if ar, ok := arities[pred]; ok && ar != len(adornment) {
 		return nil, fmt.Errorf("qsqnet: adornment %s does not match %s/%d", adornment, pred, ar)
 	}
-	n := &Net{
-		pred:     pred,
-		adorn:    adornment,
-		byKey:    map[string]*node{},
-		derived:  derived,
-		arities:  arities,
-		ansMasks: map[string][]uint32{},
-	}
-	maskSeen := map[string]map[uint32]bool{}
+	n := &Net{pred: pred, adorn: adornment}
+	byKey := map[string]*node{}
 	predSeen := map[string]bool{}
 
 	queue := []*node{{key: adornedKey(pred, adornment), pred: pred, adorn: adornment}}
-	n.byKey[queue[0].key] = queue[0]
+	byKey[queue[0].key] = queue[0]
 	for len(queue) > 0 {
 		nd := queue[0]
 		queue = queue[1:]
@@ -185,29 +212,73 @@ func Compile(prog *ast.Program, pred string, adornment string) (*Net, error) {
 				continue
 			}
 			nd.rules = append(nd.rules, cr)
-			for si := range cr.steps {
-				s := &cr.steps[si]
-				if !s.intensional {
-					continue
-				}
-				if maskSeen[s.lit.Pred] == nil {
-					maskSeen[s.lit.Pred] = map[uint32]bool{}
-				}
-				if !maskSeen[s.lit.Pred][s.mask] {
-					maskSeen[s.lit.Pred][s.mask] = true
-					n.ansMasks[s.lit.Pred] = append(n.ansMasks[s.lit.Pred], s.mask)
-				}
-			}
 			for _, sub := range subs {
-				if n.byKey[sub.key] == nil {
-					n.byKey[sub.key] = sub
+				if byKey[sub.key] == nil {
+					byKey[sub.key] = sub
 					queue = append(queue, sub)
 				}
 			}
 		}
 	}
 	sort.Strings(n.preds)
+	n.resolve(byKey, arities)
 	return n, nil
+}
+
+// resolve turns every name evaluation looks up into a slot: each
+// node's and step's answer table, each step's subquery input table and
+// probe index, and each extensional relation. It also sizes the
+// per-Eval scratch.
+func (n *Net) resolve(byKey map[string]*node, arities map[string]int) {
+	ansSlot := map[string]int{}
+	for i, p := range n.preds {
+		ansSlot[p] = i
+		n.arities = append(n.arities, arities[p])
+	}
+	n.ansMasks = make([][]uint32, len(n.preds))
+	edbSlot := map[string]int{}
+	for i, c := range n.adorn {
+		if c == 'b' {
+			n.rootMask |= 1 << uint(i)
+		}
+	}
+	for _, nd := range n.nodes {
+		nd.ans = ansSlot[nd.pred]
+		nd.width = strings.Count(nd.adorn, "b")
+		for _, cr := range nd.rules {
+			n.maxVars = max(n.maxVars, cr.nvars)
+			n.maxHead = max(n.maxHead, len(cr.head))
+			nb := 0
+			for si := range cr.steps {
+				s := &cr.steps[si]
+				s.boff = nb
+				nb += len(s.boundRefs)
+				switch {
+				case s.builtin:
+				case s.intensional:
+					s.sub = slices.Index(n.nodes, byKey[s.subKey])
+					s.ans = ansSlot[s.lit.Pred]
+					s.probe = -1
+					if s.mask != 0 {
+						masks := n.ansMasks[s.ans]
+						if s.probe = slices.Index(masks, s.mask); s.probe < 0 {
+							s.probe = len(masks)
+							n.ansMasks[s.ans] = append(masks, s.mask)
+						}
+					}
+				default:
+					slot, ok := edbSlot[s.lit.Pred]
+					if !ok {
+						slot = len(n.edbPreds)
+						edbSlot[s.lit.Pred] = slot
+						n.edbPreds = append(n.edbPreds, s.lit.Pred)
+					}
+					s.rel = slot
+				}
+			}
+			n.maxBound = max(n.maxBound, nb)
+		}
+	}
 }
 
 func adornedKey(pred, adorn string) string { return pred + "^" + adorn }
@@ -347,9 +418,8 @@ func compileRule(r ast.Rule, adorn string, derived map[string]bool, arities map[
 					b[i] = 'f'
 				}
 			}
-			s.subAdorn = string(b)
-			s.subKey = adornedKey(c.lit.Pred, s.subAdorn)
-			subs = append(subs, &node{key: s.subKey, pred: c.lit.Pred, adorn: s.subAdorn})
+			s.subKey = adornedKey(c.lit.Pred, string(b))
+			subs = append(subs, &node{key: s.subKey, pred: c.lit.Pred, adorn: string(b)})
 		}
 		for _, a := range c.lit.Args {
 			if a.IsVar() {
@@ -370,81 +440,151 @@ func compileRule(r ast.Rule, adorn string, derived map[string]bool, arities map[
 // does in the bottom-up evaluator's substitution map.
 const unbound = symtab.None
 
+// keyIndex maps fixed-width tuples to int32 values without allocating
+// on a probe. Tuples of up to two columns key a map[uint64] directly;
+// wider ones are packed into buf and looked up as m[string(buf)], which
+// the compiler serves without a copy, so only an insert allocates.
+type keyIndex struct {
+	narrow map[uint64]int32
+	wide   map[string]int32
+	buf    []byte
+}
+
+func newKeyIndex(width int) keyIndex {
+	if width <= 2 {
+		return keyIndex{narrow: map[uint64]int32{}}
+	}
+	return keyIndex{wide: map[string]int32{}}
+}
+
+func pack2(key []symtab.Sym) uint64 {
+	var v uint64
+	for i, s := range key {
+		v |= uint64(uint32(s)) << (32 * uint(i))
+	}
+	return v
+}
+
+func (k *keyIndex) get(key []symtab.Sym) (int32, bool) {
+	if k.narrow != nil {
+		v, ok := k.narrow[pack2(key)]
+		return v, ok
+	}
+	k.buf = k.buf[:0]
+	for _, s := range key {
+		k.buf = binary.LittleEndian.AppendUint32(k.buf, uint32(s))
+	}
+	v, ok := k.wide[string(k.buf)]
+	return v, ok
+}
+
+// intern returns the value stored under key, or stores next there and
+// reports added.
+func (k *keyIndex) intern(key []symtab.Sym, next int32) (v int32, added bool) {
+	if v, ok := k.get(key); ok {
+		return v, false
+	}
+	if k.narrow != nil {
+		k.narrow[pack2(key)] = next
+	} else {
+		k.wide[string(k.buf)] = next // get left key packed in buf
+	}
+	return next, true
+}
+
+// rows is an append-only arena of fixed-width tuples. A row slice taken
+// with at stays valid and unchanged after later adds move the arena:
+// growth copies into a new array and never writes the old one.
+type rows struct {
+	width int
+	n     int
+	flat  []symtab.Sym
+}
+
+func (r *rows) add(row []symtab.Sym) {
+	r.flat = append(r.flat, row...)
+	r.n++
+}
+
+func (r *rows) at(i int) []symtab.Sym {
+	o := i * r.width
+	return r.flat[o : o+r.width : o+r.width]
+}
+
 // inputTable memoizes the subqueries of one adorned predicate: tuples
 // of bound-argument values, deduplicated, with a processed-prefix mark.
 type inputTable struct {
-	rows [][]symtab.Sym
-	seen map[string]bool
+	rows
+	seen keyIndex
 	mark int
 }
 
 func (t *inputTable) add(row []symtab.Sym) bool {
-	k := packKey(row)
-	if t.seen[k] {
+	if _, added := t.seen.intern(row, int32(t.n)); !added {
 		return false
 	}
-	t.seen[k] = true
-	t.rows = append(t.rows, append([]symtab.Sym(nil), row...))
+	t.rows.add(row)
 	return true
 }
 
 // answerTable memoizes the derived facts of one intensional predicate,
 // in arrival order (the delta windows of the semi-naive rounds), with
-// one hash index per statically registered probe mask.
+// one hash index per statically registered non-zero probe mask.
 type answerTable struct {
-	rows [][]symtab.Sym
-	seen map[string]bool
-	idx  map[uint32]map[string][]int
-	mark int // answers below mark have been propagated
+	rows
+	seen keyIndex
+	idx  []probeIndex
+	key  []symtab.Sym // scratch for a row's masked columns
+	mark int          // answers below mark have been propagated
 }
 
-func newAnswerTable(masks []uint32) *answerTable {
-	t := &answerTable{seen: map[string]bool{}, idx: map[uint32]map[string][]int{}}
+// probeIndex buckets row positions, in ascending order, by the values
+// of the columns under mask.
+type probeIndex struct {
+	mask    uint32
+	keys    keyIndex
+	buckets [][]int32
+}
+
+func newAnswerTable(arity int, masks []uint32) answerTable {
+	t := answerTable{rows: rows{width: arity}, seen: newKeyIndex(arity), key: make([]symtab.Sym, 0, arity)}
 	for _, m := range masks {
-		if m != 0 {
-			t.idx[m] = map[string][]int{}
-		}
+		t.idx = append(t.idx, probeIndex{mask: m, keys: newKeyIndex(bits.OnesCount32(m))})
 	}
 	return t
 }
 
 func (t *answerTable) add(row []symtab.Sym) bool {
-	k := packKey(row)
-	if t.seen[k] {
+	i := int32(t.n)
+	if _, added := t.seen.intern(row, i); !added {
 		return false
 	}
-	t.seen[k] = true
-	i := len(t.rows)
-	t.rows = append(t.rows, append([]symtab.Sym(nil), row...))
-	for mask, buckets := range t.idx {
-		bk := packMasked(t.rows[i], mask)
-		buckets[bk] = append(buckets[bk], i)
+	t.rows.add(row)
+	for p := range t.idx {
+		x := &t.idx[p]
+		t.key = t.key[:0]
+		for c, s := range row {
+			if x.mask&(1<<uint(c)) != 0 {
+				t.key = append(t.key, s)
+			}
+		}
+		b, added := x.keys.intern(t.key, int32(len(x.buckets)))
+		if added {
+			x.buckets = append(x.buckets, nil)
+		}
+		x.buckets[b] = append(x.buckets[b], i)
 	}
 	return true
 }
 
-// lookup returns the indexes of rows matching the bound values under
-// mask (all rows for mask 0).
-func (t *answerTable) lookup(mask uint32, bound []symtab.Sym) []int {
-	if mask == 0 {
-		idxs := make([]int, len(t.rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		return idxs
+// lookup returns the positions of rows whose columns under probe's mask
+// equal bound.
+func (t *answerTable) lookup(probe int, bound []symtab.Sym) []int32 {
+	x := &t.idx[probe]
+	if b, ok := x.keys.get(bound); ok {
+		return x.buckets[b]
 	}
-	buckets, ok := t.idx[mask]
-	if !ok {
-		// Unregistered mask (root filtering only): linear scan.
-		var out []int
-		for i, r := range t.rows {
-			if matchesMask(r, mask, bound) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	return buckets[packKey(bound)]
+	return nil
 }
 
 func matchesMask(row []symtab.Sym, mask uint32, bound []symtab.Sym) bool {
@@ -460,46 +600,39 @@ func matchesMask(row []symtab.Sym, mask uint32, bound []symtab.Sym) bool {
 	return true
 }
 
-func packKey(row []symtab.Sym) string {
-	b := make([]byte, 0, 4*len(row))
-	for _, s := range row {
-		v := uint32(s)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
-// packMasked packs the masked positions of a full row — the same key
-// packKey computes from the corresponding bound vector.
-func packMasked(row []symtab.Sym, mask uint32) string {
-	b := make([]byte, 0, 4*len(row))
-	for i, s := range row {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		v := uint32(s)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
 // pollEvery bounds how many join probes run between context polls: the
 // same order of magnitude as the chain engine's node-visit poll
 // stride, so a deadline cancels a runaway evaluation promptly without
 // the poll dominating tight loops.
 const pollEvery = 4096
 
+// window is one answer table's semi-naive delta: rows [lo, hi).
+type window struct{ lo, hi int }
+
 // evalState is one Eval call's mutable state over an immutable Net.
+// Tables and relations are slices indexed by the Net's resolved slots.
 type evalState struct {
-	net   *Net
-	store *edb.Store
-	st    *symtab.Table
-	ctx   context.Context
-	in    map[string]*inputTable
-	ans   map[string]*answerTable
-	stats Stats
-	ops   int
-	err   error
+	net    *Net
+	st     *symtab.Table
+	ctx    context.Context
+	rels   []*edb.Relation
+	in     []inputTable
+	ans    []answerTable
+	deltas []window
+	stats  Stats
+	ops    int
+	err    error
+
+	// The rule under evaluation and its scratch. step never re-enters
+	// evalRule, so one frame and head serve the whole Eval; each step
+	// owns its slice of bound (at cstep.boff), because the frozen-binary
+	// MatchEach keeps reading its bound vector while the callback
+	// recurses into later steps.
+	nd                *node
+	cr                *crule
+	pin, pinLo, pinHi int
+	frame, head       []symtab.Sym
+	bound             []symtab.Sym
 }
 
 // Eval answers the net's goal for one bound-argument vector (one value
@@ -508,32 +641,31 @@ type evalState struct {
 // consistent with the bound arguments. The context is polled
 // throughout; on cancellation the error wraps context.Cause.
 func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([][]symtab.Sym, Stats, error) {
-	nb := 0
-	for _, c := range n.adorn {
-		if c == 'b' {
-			nb++
-		}
-	}
-	if len(bound) != nb {
+	if nb := n.nodes[0].width; len(bound) != nb {
 		return nil, Stats{}, fmt.Errorf("qsqnet: goal %s^%s expects %d bound arguments, got %d", n.pred, n.adorn, nb, len(bound))
 	}
 	e := &evalState{
-		net:   n,
-		store: store,
-		st:    store.SymTab(),
-		ctx:   ctx,
-		in:    map[string]*inputTable{},
-		ans:   map[string]*answerTable{},
+		net:    n,
+		st:     store.SymTab(),
+		ctx:    ctx,
+		rels:   make([]*edb.Relation, len(n.edbPreds)),
+		in:     make([]inputTable, len(n.nodes)),
+		ans:    make([]answerTable, len(n.preds)),
+		deltas: make([]window, len(n.preds)),
+		frame:  make([]symtab.Sym, n.maxVars),
+		head:   make([]symtab.Sym, n.maxHead),
+		bound:  make([]symtab.Sym, n.maxBound),
 	}
-	for _, nd := range n.nodes {
-		e.in[nd.key] = &inputTable{seen: map[string]bool{}}
+	for i, p := range n.edbPreds {
+		e.rels[i] = store.Relation(p)
 	}
-	for _, p := range n.preds {
-		if e.ans[p] == nil {
-			e.ans[p] = newAnswerTable(n.ansMasks[p])
-		}
+	for i, nd := range n.nodes {
+		e.in[i] = inputTable{rows: rows{width: nd.width}, seen: newKeyIndex(nd.width)}
 	}
-	e.addInput(adornedKey(n.pred, n.adorn), bound)
+	for i := range n.preds {
+		e.ans[i] = newAnswerTable(n.arities[i], n.ansMasks[i])
+	}
+	e.addInput(0, bound)
 
 	if err := e.run(); err != nil {
 		return nil, e.stats, err
@@ -542,31 +674,21 @@ func (n *Net) Eval(ctx context.Context, store *edb.Store, bound []symtab.Sym) ([
 	// Project the root predicate's answers onto the goal: the shared
 	// answer table can hold tuples derived for recursive subqueries
 	// with other bindings, so filter by the goal's own bound values.
-	var rootMask uint32
-	for i, c := range n.adorn {
-		if c == 'b' {
-			rootMask |= 1 << uint(i)
-		}
-	}
-	tbl := e.ans[n.pred]
+	tbl := &e.ans[n.nodes[0].ans]
 	var out [][]symtab.Sym
-	for _, row := range tbl.rows {
-		if rootMask == 0 || matchesMask(row, rootMask, bound) {
+	for i := 0; i < tbl.n; i++ {
+		row := tbl.at(i)
+		if n.rootMask == 0 || matchesMask(row, n.rootMask, bound) {
 			out = append(out, row)
 		}
 	}
 	return out, e.stats, nil
 }
 
-// addInput memoizes a subquery tuple, returning whether it was new.
-func (e *evalState) addInput(key string, row []symtab.Sym) bool {
-	t := e.in[key]
-	if t == nil {
-		// A key outside the compiled net can only be the root; treat as
-		// a bug loudly rather than dropping work silently.
-		panic("qsqnet: subquery for uncompiled node " + key)
-	}
-	if t.add(row) {
+// addInput memoizes a subquery tuple in input slot in, returning
+// whether it was new.
+func (e *evalState) addInput(in int, row []symtab.Sym) bool {
+	if e.in[in].add(row) {
 		e.stats.Subqueries++
 		return true
 	}
@@ -601,17 +723,15 @@ func (e *evalState) run() error {
 			return fmt.Errorf("qsqnet: evaluation canceled: %w", err)
 		}
 		// Snapshot this round's delta windows.
-		type window struct{ lo, hi int }
-		deltas := map[string]window{}
-		any := false
-		for _, p := range e.net.preds {
-			t := e.ans[p]
-			deltas[p] = window{t.mark, len(t.rows)}
-			if t.mark < len(t.rows) {
-				any = true
+		pending := false
+		for p := range e.ans {
+			t := &e.ans[p]
+			e.deltas[p] = window{t.mark, t.n}
+			if t.mark < t.n {
+				pending = true
 			}
 		}
-		if !any {
+		if !pending {
 			return e.err
 		}
 		// Pinned passes: every (rule, processed input, intensional step
@@ -619,15 +739,15 @@ func (e *evalState) run() error {
 		// pinned step ranging over the delta only. Delta tuples are
 		// already in the tables, so any derivation touching at least
 		// one new answer is found with the other steps on full tables.
-		for _, nd := range e.net.nodes {
-			it := e.in[nd.key]
+		for ni, nd := range e.net.nodes {
+			it := &e.in[ni]
 			for _, cr := range nd.rules {
 				for si := range cr.steps {
 					s := &cr.steps[si]
 					if !s.intensional {
 						continue
 					}
-					w := deltas[s.lit.Pred]
+					w := e.deltas[s.ans]
 					if w.lo == w.hi {
 						continue
 					}
@@ -635,15 +755,15 @@ func (e *evalState) run() error {
 						if e.err != nil {
 							return e.err
 						}
-						e.evalRule(nd, cr, it.rows[ri], si, w.lo, w.hi)
+						e.evalRule(nd, cr, it.at(ri), si, w.lo, w.hi)
 					}
 				}
 			}
 		}
 		// Advance the marks past the propagated windows; answers added
 		// during this round form the next delta.
-		for _, p := range e.net.preds {
-			e.ans[p].mark = deltas[p].hi
+		for p := range e.ans {
+			e.ans[p].mark = e.deltas[p].hi
 		}
 		// Subqueries generated by the pinned passes get their full
 		// evaluation before the next delta snapshot.
@@ -659,14 +779,14 @@ func (e *evalState) run() error {
 func (e *evalState) processInputs() {
 	for changed := true; changed && e.err == nil; {
 		changed = false
-		for _, nd := range e.net.nodes {
-			it := e.in[nd.key]
-			for it.mark < len(it.rows) {
+		for ni, nd := range e.net.nodes {
+			it := &e.in[ni]
+			for it.mark < it.n {
 				if e.err != nil {
 					return
 				}
 				changed = true
-				row := it.rows[it.mark]
+				row := it.at(it.mark)
 				it.mark++
 				for _, cr := range nd.rules {
 					e.evalRule(nd, cr, row, -1, 0, 0)
@@ -681,7 +801,7 @@ func (e *evalState) processInputs() {
 // table. pin >= 0 restricts that intensional step to the answer rows
 // in [pinLo, pinHi) — the semi-naive delta window.
 func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin, pinLo, pinHi int) {
-	frame := make([]symtab.Sym, cr.nvars)
+	frame := e.frame[:cr.nvars]
 	for i := range frame {
 		frame[i] = unbound
 	}
@@ -700,29 +820,31 @@ func (e *evalState) evalRule(nd *node, cr *crule, input []symtab.Sym, pin, pinLo
 		}
 		frame[b.slot] = v
 	}
-	e.step(nd, cr, frame, 0, pin, pinLo, pinHi)
+	e.nd, e.cr, e.pin, e.pinLo, e.pinHi = nd, cr, pin, pinLo, pinHi
+	e.step(0)
 }
 
-// valOf resolves an argument reference against the frame.
-func valOf(frame []symtab.Sym, r argRef) symtab.Sym {
+// val resolves an argument reference against the frame.
+func (e *evalState) val(r argRef) symtab.Sym {
 	if r.slot < 0 {
 		return r.cnst
 	}
-	return frame[r.slot]
+	return e.frame[r.slot]
 }
 
 // step evaluates body position si onward under the frame.
-func (e *evalState) step(nd *node, cr *crule, frame []symtab.Sym, si, pin, pinLo, pinHi int) {
+func (e *evalState) step(si int) {
 	if e.err != nil {
 		return
 	}
+	cr := e.cr
 	if si == len(cr.steps) {
-		head := make([]symtab.Sym, len(cr.head))
+		head := e.head[:len(cr.head)]
 		for i, r := range cr.head {
-			head[i] = valOf(frame, r)
+			head[i] = e.val(r)
 		}
 		e.stats.Firings++
-		if e.ans[nd.pred].add(head) {
+		if e.ans[e.nd.ans].add(head) {
 			e.stats.Answers++
 		}
 		return
@@ -733,102 +855,91 @@ func (e *evalState) step(nd *node, cr *crule, frame []symtab.Sym, si, pin, pinLo
 	}
 
 	if s.builtin {
-		if bottomup.Compare(e.st, s.lit.Op, valOf(frame, s.args[0]), valOf(frame, s.args[1])) {
-			e.step(nd, cr, frame, si+1, pin, pinLo, pinHi)
+		if bottomup.Compare(e.st, s.lit.Op, e.val(s.args[0]), e.val(s.args[1])) {
+			e.step(si + 1)
 		}
 		return
 	}
 
-	// unify binds the step's free arguments from a candidate tuple,
-	// recursing on success; assignments are undone before returning so
-	// the frame can be reused across candidates.
-	unify := func(tuple []symtab.Sym) {
-		var assigned []int
-		ok := true
-		for i, r := range s.args {
-			v := tuple[i]
-			if r.slot < 0 {
-				if r.cnst != v {
-					ok = false
-					break
-				}
-				continue
-			}
-			if frame[r.slot] != unbound {
-				if frame[r.slot] != v {
-					ok = false
-					break
-				}
-				continue
-			}
-			frame[r.slot] = v
-			assigned = append(assigned, r.slot)
-		}
-		if ok {
-			e.step(nd, cr, frame, si+1, pin, pinLo, pinHi)
-		}
-		for _, sl := range assigned {
-			frame[sl] = unbound
-		}
+	bound := e.bound[s.boff : s.boff+len(s.boundRefs)]
+	for i, r := range s.boundRefs {
+		bound[i] = e.val(r)
 	}
-
 	if !s.intensional {
-		rel := e.store.Relation(s.lit.Pred)
+		rel := e.rels[s.rel]
 		if rel == nil {
 			return
 		}
-		bound := make([]symtab.Sym, len(s.boundRefs))
-		for i, r := range s.boundRefs {
-			bound[i] = valOf(frame, r)
-		}
 		rel.MatchEach(s.mask, bound, func(tuple []symtab.Sym) {
-			if !e.poll() {
-				return
+			if e.poll() {
+				e.unify(s, si, tuple)
 			}
-			unify(tuple)
 		})
 		return
 	}
 
 	// Intensional step: memoize the subquery (its answers are computed
 	// by the node it feeds), then join against the answer table — the
-	// delta window when this step is the pinned one, the index buckets
-	// otherwise.
-	bound := make([]symtab.Sym, len(s.boundRefs))
-	for i, r := range s.boundRefs {
-		bound[i] = valOf(frame, r)
+	// delta window when this step is the pinned one, the rows present
+	// now otherwise; through the index buckets unless the mask is 0.
+	e.addInput(s.sub, bound)
+	tbl := &e.ans[s.ans]
+	lo, hi := 0, tbl.n
+	if si == e.pin {
+		lo, hi = e.pinLo, e.pinHi
 	}
-	e.addInput(s.subKey, bound)
-	tbl := e.ans[s.lit.Pred]
-	if si == pin {
-		// The delta window restricted to this step's bound arguments:
-		// index buckets hold row positions in ascending order, so the
-		// window is a contiguous bucket slice.
-		if s.mask == 0 {
-			for i := pinLo; i < pinHi; i++ {
-				if !e.poll() {
-					return
-				}
-				unify(tbl.rows[i])
-			}
-			return
-		}
-		idxs := tbl.lookup(s.mask, bound)
-		for _, i := range idxs[sort.SearchInts(idxs, pinLo):] {
-			if i >= pinHi {
-				break
-			}
+	if s.probe < 0 {
+		for i := lo; i < hi; i++ {
 			if !e.poll() {
 				return
 			}
-			unify(tbl.rows[i])
+			e.unify(s, si, tbl.at(i))
 		}
 		return
 	}
-	for _, i := range tbl.lookup(s.mask, bound) {
+	// Buckets hold row positions in ascending order, so the window is a
+	// contiguous bucket slice.
+	idxs := tbl.lookup(s.probe, bound)
+	k, _ := slices.BinarySearch(idxs, int32(lo))
+	for _, i := range idxs[k:] {
+		if int(i) >= hi {
+			break
+		}
 		if !e.poll() {
 			return
 		}
-		unify(tbl.rows[i])
+		e.unify(s, si, tbl.at(int(i)))
+	}
+}
+
+// unify binds step si's free arguments from a candidate tuple and, on
+// success, evaluates the rest of the body. assigned records which
+// argument positions it bound, so they are undone before returning and
+// the frame can be reused across candidates.
+func (e *evalState) unify(s *cstep, si int, tuple []symtab.Sym) {
+	var assigned uint32
+	ok := true
+	for i, r := range s.args {
+		v := tuple[i]
+		switch {
+		case r.slot < 0:
+			ok = r.cnst == v
+		case e.frame[r.slot] == unbound:
+			e.frame[r.slot] = v
+			assigned |= 1 << uint(i)
+		default:
+			ok = e.frame[r.slot] == v
+		}
+		if !ok {
+			break
+		}
+	}
+	if ok {
+		e.step(si + 1)
+	}
+	for i, r := range s.args {
+		if assigned&(1<<uint(i)) != 0 {
+			e.frame[r.slot] = unbound
+		}
 	}
 }

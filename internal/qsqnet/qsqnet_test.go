@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,39 +290,156 @@ tcn(X, Z) :- tcn(X, Y), tcn(Y, Z).
 	}
 }
 
-// Randomized differential check inside the package: random small graphs
-// across the adornment space against the seminaive oracle.
-func TestRandomizedAgainstSeminaive(t *testing.T) {
-	progs := []string{
-		`
+// randomProgram is one program of the randomized differential check:
+// its base predicates with their arities, the constant domain facts
+// draw from, and the goals checked against the oracle.
+type randomProgram struct {
+	src     string
+	bases   []string
+	arities []int
+	// dom formats a domain value from an index in [0, size).
+	dom     string
+	size    int
+	queries []string
+}
+
+// randomPrograms covers the binary shapes (linear, nonlinear, mutual
+// recursion) plus n-ary ones: the Section 4 connection rule with a
+// builtin '<', a body constant, and 3- to 5-column heads. The n-ary
+// goals key wide input and answer tables and probe with up to three
+// bound columns.
+var randomPrograms = []randomProgram{
+	{
+		src: `
 tc(X, Y) :- e(X, Y).
 tc(X, Z) :- e(X, Y), tc(Y, Z).
-`, `
+`,
+		bases: []string{"e"}, arities: []int{2}, dom: "c%d", size: 6,
+		queries: []string{"tc(c0, Y)", "tc(X, c1)", "tc(X, Y)", "tc(c2, c3)", "tc(X, X)"},
+	},
+	{
+		src: `
 tcn(X, Y) :- e(X, Y).
 tcn(X, Z) :- tcn(X, Y), tcn(Y, Z).
-`, `
+`,
+		bases: []string{"e"}, arities: []int{2}, dom: "c%d", size: 6,
+		queries: []string{"tcn(c0, Y)", "tcn(X, c1)", "tcn(X, Y)", "tcn(c2, c3)"},
+	},
+	{
+		src: `
 p(X, Z) :- e(X, Y), q(Y, Z).
 q(X, Y) :- f(X, Y).
 q(X, Z) :- f(X, Y), p(Y, Z).
 `,
+		bases: []string{"e", "f"}, arities: []int{2, 2}, dom: "c%d", size: 6,
+		queries: []string{"p(c0, Y)", "q(X, c1)", "p(X, Y)", "q(c2, Y)"},
+	},
+	{
+		src: `
+cnx(S, DT, D, AT) :- flight(S, DT, D, AT).
+cnx(S, DT, D, AT) :- flight(S, DT, D1, AT1), AT1 < DT1, dep(DT1), cnx(D1, DT1, D, AT).
+`,
+		bases: []string{"flight", "flight", "flight", "dep"}, arities: []int{4, 4, 4, 1}, dom: "%d", size: 5,
+		queries: []string{"cnx(0, 1, D, AT)", "cnx(S, DT, D, AT)", "cnx(0, DT, 3, AT)",
+			"cnx(1, 0, 2, AT)", "cnx(S, DT, D, 4)", "cnx(S, DT, S, AT)"},
+	},
+	{
+		src: `
+path(X, Y, C) :- link(X, Y, C).
+path(X, Z, C) :- link(X, Y, C), path(Y, Z, C).
+route(A, B, C, D, E) :- path(A, B, C), path(B, D, C), hop(D, E, c1), A < E.
+`,
+		bases: []string{"link", "link", "hop"}, arities: []int{3, 3, 3}, dom: "c%d", size: 3,
+		queries: []string{"route(c0, B, C, D, E)", "route(A, B, c2, D, E)", "route(c0, B, C, D, c2)",
+			"route(A, B, C, D, E)", "path(c0, Z, C)", "route(A, A, C, D, E)"},
+	},
+	{
+		src: `
+reach(X, Y, L) :- arc(X, Y, L).
+reach(X, Z, L) :- reach(X, Y, L), reach(Y, Z, L), X != Z.
+`,
+		bases: []string{"arc"}, arities: []int{3}, dom: "c%d", size: 4,
+		queries: []string{"reach(c0, Y, L)", "reach(X, c1, c2)", "reach(c1, Y, c0)", "reach(X, Y, L)"},
+	},
+}
+
+// randomHarness loads 12-23 random facts over the program's bases.
+func randomHarness(t *testing.T, rp randomProgram, seed int64) *harness {
+	rng := rand.New(rand.NewSource(seed))
+	h := newHarness(t, rp.src)
+	for k := 0; k < 12+rng.Intn(12); k++ {
+		b := rng.Intn(len(rp.bases))
+		args := make([]string, rp.arities[b])
+		for i := range args {
+			args[i] = fmt.Sprintf(rp.dom, rng.Intn(rp.size))
+		}
+		h.assert(rp.bases[b], args...)
 	}
-	queries := [][]string{
-		{"tc(c0, Y)", "tc(X, c1)", "tc(X, Y)", "tc(c2, c3)", "tc(X, X)"},
-		{"tcn(c0, Y)", "tcn(X, c1)", "tcn(X, Y)", "tcn(c2, c3)"},
-		{"p(c0, Y)", "q(X, c1)", "p(X, Y)", "q(c2, Y)"},
-	}
-	bases := [][]string{{"e"}, {"e"}, {"e", "f"}}
-	for pi, src := range progs {
+	return h
+}
+
+// Randomized differential check inside the package: random small
+// databases across the adornment space against the seminaive oracle.
+func TestRandomizedAgainstSeminaive(t *testing.T) {
+	for _, rp := range randomPrograms {
 		for seed := int64(0); seed < 8; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			h := newHarness(t, src)
-			for k := 0; k < 12+rng.Intn(12); k++ {
-				pred := bases[pi][rng.Intn(len(bases[pi]))]
-				h.assert(pred, fmt.Sprintf("c%d", rng.Intn(6)), fmt.Sprintf("c%d", rng.Intn(6)))
-			}
-			for _, q := range queries[pi] {
+			h := randomHarness(t, rp, seed)
+			for _, q := range rp.queries {
 				h.check(q)
 			}
 		}
+	}
+}
+
+// One compiled Net evaluated from 8 goroutines at once, each with its
+// own bound vectors, must answer exactly as sequential evaluation does:
+// the Net is immutable after Compile and every Eval owns its tables.
+func TestConcurrentEvalMatchesSequential(t *testing.T) {
+	h := newHarness(t, `
+tcn(X, Y) :- e(X, Y).
+tcn(X, Z) :- tcn(X, Y), tcn(Y, Z).
+`)
+	rng := rand.New(rand.NewSource(3))
+	n := 30
+	for i := 0; i < 2*n; i++ {
+		h.assert("e", fmt.Sprintf("n%d", rng.Intn(n)), fmt.Sprintf("n%d", rng.Intn(n)))
+	}
+	net, err := Compile(h.prog, "tcn", "bf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goals := make([]symtab.Sym, n)
+	want := make([][][]symtab.Sym, n)
+	for i := range want {
+		goals[i] = h.st.Intern(fmt.Sprintf("n%d", i))
+		rows, _, err := net.Eval(context.Background(), h.store, goals[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rows
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				i := (g*7 + k) % n
+				rows, _, err := net.Eval(context.Background(), h.store, goals[i:i+1])
+				if err == nil && !reflect.DeepEqual(rows, want[i]) {
+					err = fmt.Errorf("goroutine %d, goal tcn(n%d, Y): got %v, want %v", g, i, rows, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -19,8 +19,15 @@ func (db *DB) buildQSQNetPlan(tmpl ast.Query) (plan, error) {
 		return nil, err
 	}
 	pl := &qsqnetPlan{tmpl: tmpl, net: net}
-	for _, a := range tmpl.Args {
+	first := map[string]int{}
+	for i, a := range tmpl.Args {
 		if a.IsVar() {
+			if j, dup := first[a.Var]; dup {
+				pl.same = append(pl.same, [2]int{i, j})
+			} else {
+				first[a.Var] = i
+				pl.keep = append(pl.keep, i)
+			}
 			continue
 		}
 		if a.IsHole() {
@@ -44,6 +51,10 @@ type qsqnetPlan struct {
 	// their positions in boundTmpl.
 	boundTmpl []symtab.Sym
 	holePos   []int
+	// keep lists each free variable's first position, the projected
+	// columns; same pairs every later occurrence with the first.
+	keep []int
+	same [][2]int
 }
 
 // refreshFacts is a no-op: every run evaluates against the live store.
@@ -73,50 +84,27 @@ func (pl *qsqnetPlan) run(ctx context.Context, db *DB, args []symtab.Sym) (*Answ
 
 // project maps the net's full answer tuples onto the query's free
 // variables with bottomup.Answer's semantics: rows violating a repeated
-// variable's equality are dropped, each free variable projects at its
-// first occurrence, and duplicates collapse. Bound positions were
-// already filtered by Eval.
+// variable's equality are dropped and each free variable projects at
+// its first occurrence. Bound positions were already filtered by Eval.
+// Projection cannot create duplicates: the net's tuples are distinct,
+// and every dropped column is either bound (equal across all tuples) or
+// a repeated variable (equal to a kept column), so distinct tuples keep
+// distinct projections.
 func (pl *qsqnetPlan) project(tuples [][]symtab.Sym) [][]symtab.Sym {
-	var freeIdx []int
-	for i, a := range pl.tmpl.Args {
-		if a.IsVar() {
-			freeIdx = append(freeIdx, i)
-		}
-	}
-	varPos := make(map[string]int)
-	seen := make(map[string]bool, len(tuples))
-	var key []byte
+	flat := make([]symtab.Sym, 0, len(tuples)*len(pl.keep))
 	out := make([][]symtab.Sym, 0, len(tuples))
+next:
 	for _, tuple := range tuples {
-		for k := range varPos {
-			delete(varPos, k)
-		}
-		row := make([]symtab.Sym, 0, len(freeIdx))
-		ok := true
-		for _, i := range freeIdx {
-			v := pl.tmpl.Args[i].Var
-			if prev, dup := varPos[v]; dup {
-				if tuple[prev] != tuple[i] {
-					ok = false
-					break
-				}
-				continue
+		for _, p := range pl.same {
+			if tuple[p[0]] != tuple[p[1]] {
+				continue next
 			}
-			varPos[v] = i
-			row = append(row, tuple[i])
 		}
-		if !ok {
-			continue
+		start := len(flat)
+		for _, i := range pl.keep {
+			flat = append(flat, tuple[i])
 		}
-		key = key[:0]
-		for _, s := range row {
-			v := uint32(s)
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		if k := string(key); !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
+		out = append(out, flat[start:len(flat):len(flat)])
 	}
 	return out
 }
